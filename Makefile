@@ -13,10 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrent code paths: the real TCP transport and
-# the parallel sweep/replication engine.
+# Race-check the concurrent code paths: the real TCP transport, the
+# load generator's connection pool (each conn reuses one Response
+# across Handler calls) and the parallel sweep/replication engine.
 race:
-	$(GO) test -race ./internal/realnet/ ./internal/netproto/ ./internal/parfan/
+	$(GO) test -race ./internal/realnet/ ./internal/netproto/ ./internal/loadgen/ ./internal/parfan/
 	$(GO) test -race -run 'Parallel|Replicate|RunPolicies' ./internal/scenario/
 
 # Chaos gate: replay the seeded random fault plans under the race

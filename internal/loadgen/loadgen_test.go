@@ -310,6 +310,67 @@ func TestSendZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMuxReceiveZeroAlloc pins the receive path — socket read,
+// decode into the conn's reused Response, demultiplex, Handler call —
+// at 0 allocations per reply.
+func TestMuxReceiveZeroAlloc(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	msg := netproto.AppendResponse(nil, &netproto.Response{FrameID: PackFrameID(3, 1), Label: 7, BatchSize: 2})
+	trigger := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for range trigger {
+			if _, err := conn.Write(msg); err != nil {
+				return
+			}
+		}
+	}()
+
+	handled := make(chan uint16)
+	m, err := NewMux(MuxConfig{
+		Addr: ln.Addr().String(), Conns: 1,
+		Handler: func(dev int, res *netproto.Response) {
+			if dev != 3 {
+				t.Errorf("reply routed to dev %d, want 3", dev)
+			}
+			handled <- res.BatchSize
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	defer close(trigger)
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Up() < 1 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if m.Up() < 1 {
+		t.Fatal("pool never came up")
+	}
+
+	roundTrip := func() {
+		trigger <- struct{}{}
+		if batch := <-handled; batch != 2 {
+			t.Fatalf("handler saw batch size %d, want 2", batch)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("receive path allocates %.1f objects/reply, want 0", allocs)
+	}
+}
+
 func BenchmarkMuxSend(b *testing.B) {
 	addr := discardServer(b)
 	m, err := NewMux(MuxConfig{Addr: addr.String(), Conns: 1})

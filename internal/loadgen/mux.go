@@ -70,7 +70,9 @@ type MuxConfig struct {
 	Seed uint64
 	// Handler receives every demultiplexed response. It is called
 	// from the pooled connection's read goroutine and must not
-	// block.
+	// block. The *Response is valid only during the call: the
+	// connection decodes the next reply into the same value, so a
+	// handler that keeps anything copies it out.
 	Handler func(dev int, res *netproto.Response)
 	// Logger receives operational messages; nil silences them.
 	Logger *log.Logger
@@ -238,12 +240,13 @@ func (mc *muxConn) loop() {
 
 // read consumes responses from one connection until it fails,
 // dispatching each to the handler by the device index packed in the
-// frame ID.
+// frame ID. Every response is decoded into the same Response value.
 func (mc *muxConn) read(conn net.Conn) {
 	m := mc.m
+	rd := netproto.NewReader(conn)
+	var res netproto.Response
 	for {
-		res, err := netproto.ReadResponse(conn)
-		if err != nil {
+		if err := rd.ReadResponse(&res); err != nil {
 			select {
 			case <-m.stopCh: // expected during shutdown
 			default:
@@ -253,7 +256,7 @@ func (mc *muxConn) read(conn net.Conn) {
 		}
 		if m.cfg.Handler != nil {
 			dev, _ := UnpackFrameID(res.FrameID)
-			m.cfg.Handler(dev, res)
+			m.cfg.Handler(dev, &res)
 		}
 	}
 }

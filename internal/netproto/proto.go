@@ -14,6 +14,7 @@
 package netproto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -190,52 +191,151 @@ func WriteResponse(w io.Writer, r *Response) error {
 	return err
 }
 
-// readFrame reads one length-prefixed message body.
-func readFrame(r io.Reader) ([]byte, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(prefix[:])
-	if n > MaxMessageSize {
-		return nil, ErrTooLarge
-	}
-	if n < 2 {
-		return nil, ErrTruncated
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	if body[0] != Version {
-		return nil, ErrBadVersion
-	}
-	return body, nil
+// bodyChunk bounds a body buffer's first allocation: a length prefix
+// is only a claim, so a 6-byte stream announcing 16 MB costs one
+// chunk, not 16 MB. It also caps the capacity a Reader keeps between
+// messages; a normal frame (~29 KB) fits, so the steady state never
+// reallocates.
+const bodyChunk = 64 << 10
+
+// Reader decodes a stream of messages through a buffered reader and
+// one reused body buffer, so a connection's steady state allocates
+// nothing per message. Many small responses arrive in one read call.
+// A Reader is not safe for concurrent use.
+type Reader struct {
+	br     *bufio.Reader
+	prefix [4]byte
+	body   []byte
 }
 
-// ReadRequest reads and decodes one request message.
+// NewReader returns a Reader over r. The Reader buffers, so r must
+// not be read from elsewhere while the Reader is in use.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{br: bufio.NewReader(r)}
+}
+
+// ReadRequest reads and decodes the next message into req. On success
+// req.Payload aliases the Reader's buffer and is valid only until the
+// next read; on error req is left unchanged.
+func (rd *Reader) ReadRequest(req *Request) error {
+	body, err := rd.next()
+	if err != nil {
+		return err
+	}
+	return decodeRequest(body, req)
+}
+
+// ReadResponse reads and decodes the next message into res; on error
+// res is left unchanged.
+func (rd *Reader) ReadResponse(res *Response) error {
+	body, err := rd.next()
+	if err != nil {
+		return err
+	}
+	return decodeResponse(body, res)
+}
+
+// next reads one message body into the reused buffer. The previous
+// message is consumed by now, so an oversized buffer it needed is
+// dropped first instead of staying pinned for the connection's life.
+func (rd *Reader) next() ([]byte, error) {
+	if cap(rd.body) > bodyChunk {
+		rd.body = nil
+	}
+	body, err := readFrame(rd.br, &rd.prefix, rd.body)
+	rd.body = body[:0]
+	return body, err
+}
+
+// readFrame reads one length-prefixed message body into buf's backing
+// array and returns it. When buf is too small it grows to at most
+// bodyChunk, then doubles only once full, so it never exceeds twice
+// the bytes received or bodyChunk, whichever is larger: the allocation
+// is bounded by what the peer actually sent. The returned slice
+// carries any growth even on error.
+func readFrame(r io.Reader, prefix *[4]byte, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+		return buf, err
+	}
+	n := int(binary.BigEndian.Uint32(prefix[:]))
+	if n > MaxMessageSize {
+		return buf, ErrTooLarge
+	}
+	if n < 2 {
+		return buf, ErrTruncated
+	}
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), bodyChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		end := min(n, cap(buf))
+		k, err := io.ReadFull(r, buf[len(buf):end])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, err
+		}
+	}
+	if buf[0] != Version {
+		return buf, ErrBadVersion
+	}
+	return buf, nil
+}
+
+// ReadRequest reads and decodes one request message. The result owns
+// its payload; use a Reader to decode a stream without allocating.
 func ReadRequest(r io.Reader) (*Request, error) {
-	body, err := readFrame(r)
+	var prefix [4]byte
+	body, err := readFrame(r, &prefix, nil)
 	if err != nil {
 		return nil, err
 	}
+	req := &Request{}
+	if err := decodeRequest(body, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// ReadResponse reads and decodes one response message.
+func ReadResponse(r io.Reader) (*Response, error) {
+	var prefix [4]byte
+	body, err := readFrame(r, &prefix, nil)
+	if err != nil {
+		return nil, err
+	}
+	res := &Response{}
+	if err := decodeResponse(body, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// decodeRequest decodes one request body (version byte onwards) into
+// req, which it writes only on success. Payload aliases body.
+func decodeRequest(body []byte, req *Request) error {
 	if body[1] != TypeRequest {
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	if len(body) < 2+requestFixedLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	req := &Request{}
+	var v Request
 	o := 2
-	req.Stream = binary.BigEndian.Uint32(body[o:])
+	v.Stream = binary.BigEndian.Uint32(body[o:])
 	o += 4
-	req.FrameID = binary.BigEndian.Uint64(body[o:])
+	v.FrameID = binary.BigEndian.Uint64(body[o:])
 	o += 8
-	req.Model = models.Model(body[o])
+	v.Model = models.Model(body[o])
 	o++
-	req.CapturedUnixNano = int64(binary.BigEndian.Uint64(body[o:]))
+	v.CapturedUnixNano = int64(binary.BigEndian.Uint64(body[o:]))
 	o += 8
-	req.Probe = body[o] == 1
+	v.Probe = body[o] == 1
 	o++
 	payloadLen := binary.BigEndian.Uint32(body[o:])
 	o += 4
@@ -244,41 +344,40 @@ func ReadRequest(r io.Reader) (*Request, error) {
 	switch len(body) - o {
 	case int(payloadLen):
 	case int(payloadLen) + traceLen:
-		req.TraceID = binary.BigEndian.Uint64(body[o+int(payloadLen):])
+		v.TraceID = binary.BigEndian.Uint64(body[o+int(payloadLen):])
 	default:
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	if !req.Model.Valid() {
-		return nil, fmt.Errorf("netproto: invalid model byte %d", body[6+8])
+	if !v.Model.Valid() {
+		return fmt.Errorf("netproto: invalid model byte %d", body[6+8])
 	}
-	req.Payload = body[o : o+int(payloadLen)]
-	return req, nil
+	v.Payload = body[o : o+int(payloadLen)]
+	*req = v
+	return nil
 }
 
-// ReadResponse reads and decodes one response message.
-func ReadResponse(r io.Reader) (*Response, error) {
-	body, err := readFrame(r)
-	if err != nil {
-		return nil, err
-	}
+// decodeResponse decodes one response body (version byte onwards)
+// into res, which it writes only on success.
+func decodeResponse(body []byte, res *Response) error {
 	if body[1] != TypeResponse {
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	if len(body) < 2+responseLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	res := &Response{}
+	var v Response
 	o := 2
-	res.FrameID = binary.BigEndian.Uint64(body[o:])
+	v.FrameID = binary.BigEndian.Uint64(body[o:])
 	o += 8
-	res.Rejected = body[o] == 1
+	v.Rejected = body[o] == 1
 	o++
-	res.Label = int32(binary.BigEndian.Uint32(body[o:]))
+	v.Label = int32(binary.BigEndian.Uint32(body[o:]))
 	o += 4
-	res.BatchSize = binary.BigEndian.Uint16(body[o:])
+	v.BatchSize = binary.BigEndian.Uint16(body[o:])
 	o += 2
 	if len(body)-o >= traceLen {
-		res.TraceID = binary.BigEndian.Uint64(body[o:])
+		v.TraceID = binary.BigEndian.Uint64(body[o:])
 	}
-	return res, nil
+	*res = v
+	return nil
 }

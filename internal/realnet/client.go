@@ -655,9 +655,10 @@ func (c *Client) receiveLoop() {
 // readConn consumes responses from one connection until it fails.
 func (c *Client) readConn(conn net.Conn) {
 	defer c.dropConn(conn)
+	rd := netproto.NewReader(conn)
+	var res netproto.Response
 	for {
-		res, err := netproto.ReadResponse(conn)
-		if err != nil {
+		if err := rd.ReadResponse(&res); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				select {
 				case <-c.stopCh: // expected during shutdown

@@ -1,15 +1,19 @@
 package realnet
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/baselines"
 	"repro/internal/controller"
 	"repro/internal/netproto"
+	"repro/internal/telemetry"
 )
 
 // Fault-injection tests: connections die mid-batch, servers restart
@@ -300,6 +304,7 @@ func TestDeadlineSweepFinerThanTick(t *testing.T) {
 type stallConn struct {
 	mu        sync.Mutex
 	deadlines int
+	writes    int
 	closed    bool
 }
 
@@ -311,6 +316,7 @@ func (timeoutErr) Timeout() bool { return true }
 func (s *stallConn) Write(b []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.writes++
 	if s.deadlines == 0 {
 		// Without a deadline this fake would block forever; failing
 		// the test is more useful than hanging it.
@@ -350,16 +356,23 @@ func TestSessionWriteTimeoutAbortsStalledDevice(t *testing.T) {
 	conn := &stallConn{}
 	ss := newSession(srv, conn)
 	srv.wg.Add(1)
-	go ss.writeLoop()
+	writerDone := make(chan struct{})
+	go func() {
+		ss.writeLoop()
+		close(writerDone)
+	}()
 
 	const n = 10
 	for i := 0; i < n; i++ {
 		ss.track()
-		go ss.reply(&netproto.Response{FrameID: uint64(i)})
+		go ss.reply(netproto.Response{FrameID: uint64(i)})
 	}
 	done := make(chan struct{})
 	go func() {
 		ss.drain(time.Second)
+		// drain only closes respCh; join the writer so the assertions
+		// see everything it did.
+		<-writerDone
 		close(done)
 	}()
 	select {
@@ -375,8 +388,144 @@ func TestSessionWriteTimeoutAbortsStalledDevice(t *testing.T) {
 	if !conn.closed {
 		t.Fatal("stalled connection was not closed")
 	}
-	if got := srv.Stats().Dropped; got == 0 {
-		t.Fatalf("no replies counted as dropped, want > 0 of %d", n)
+	if got := srv.Stats().Dropped; got != n {
+		t.Fatalf("%d replies counted as dropped, want all %d", got, n)
+	}
+}
+
+// TestCoalescedWriteFailureCountsEveryReply: replies queued together
+// go out in one write, and when that write fails every reply in it is
+// counted as dropped, not just one.
+func TestCoalescedWriteFailureCountsEveryReply(t *testing.T) {
+	instr := NewServerInstruments(telemetry.NewRegistry())
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", TimeScale: fastScale, Instruments: instr,
+		WriteTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn := &stallConn{}
+	ss := newSession(srv, conn)
+	const k = 7
+	for i := 0; i < k; i++ {
+		ss.track()
+		ss.reply(netproto.Response{FrameID: uint64(i)})
+	}
+	close(ss.respCh)
+	srv.wg.Add(1)
+	ss.writeLoop()
+
+	conn.mu.Lock()
+	writes := conn.writes
+	conn.mu.Unlock()
+	if writes != 1 {
+		t.Fatalf("%d queued replies went out in %d writes, want 1", k, writes)
+	}
+	if got := srv.Stats().Dropped; got != k {
+		t.Fatalf("Dropped = %d, want %d", got, k)
+	}
+	if got := instr.WriteDrops.Value(); got != k {
+		t.Fatalf("WriteDrops = %d, want %d", got, k)
+	}
+	if got := instr.Dropped.Value(); got != k {
+		t.Fatalf("Dropped instrument = %d, want %d", got, k)
+	}
+}
+
+// countConn is a writeDeadlineConn that accepts every write and
+// reports its size.
+type countConn struct{ wrote chan int }
+
+func (c *countConn) Write(b []byte) (int, error) {
+	c.wrote <- len(b)
+	return len(b), nil
+}
+func (c *countConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *countConn) Close() error                     { return nil }
+
+// TestSessionReplyWriteZeroAlloc pins the reply path — batcher reply,
+// channel hand-off, writer encode and write — at 0 allocations.
+func TestSessionReplyWriteZeroAlloc(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", TimeScale: fastScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := &countConn{wrote: make(chan int)}
+	ss := newSession(srv, conn)
+	srv.wg.Add(1)
+	go ss.writeLoop()
+	defer ss.drain(0)
+
+	res := netproto.Response{FrameID: 5, Label: 5, BatchSize: 3, TraceID: 9}
+	roundTrip := func() {
+		ss.track()
+		ss.reply(res)
+		if n := <-conn.wrote; n == 0 {
+			t.Fatal("empty write")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs != 0 {
+		t.Fatalf("reply -> write allocates %.1f objects/reply, want 0", allocs)
+	}
+}
+
+// TestBatcherChannelBytes: the batcher's input channel is allocated
+// by NewServer, before any device connects, so it must stay at 16 KB.
+func TestBatcherChannelBytes(t *testing.T) {
+	if got := unsafe.Sizeof(incoming{}) * reqChCap; got != 16<<10 {
+		t.Fatalf("batcher channel buffer is %d B, want %d", got, 16<<10)
+	}
+}
+
+// TestCloseWhileDeviceFloods: Close must return while a device keeps
+// streaming. A read loop can forward a request it decoded just before
+// shutdown; the batcher must still resolve it, or that session's drain
+// waits for its reply forever and Close waits with it.
+func TestCloseWhileDeviceFloods(t *testing.T) {
+	msg, err := netproto.AppendRequest(nil, &netproto.Request{Payload: make([]byte, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := bytes.Repeat(msg, 64)
+	for i := 0; i < 5; i++ {
+		srv, err := NewServer(ServerConfig{
+			Addr: "127.0.0.1:0", TimeScale: fastScale, DrainTimeout: 20 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for {
+				if _, err := conn.Write(burst); err != nil {
+					return
+				}
+			}
+		}()
+		for srv.Stats().Submitted < 1000 {
+			runtime.Gosched()
+		}
+		done := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close hung while the device was still sending", i)
+		}
+		conn.Close()
 	}
 }
 

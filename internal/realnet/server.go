@@ -123,6 +123,12 @@ type Server struct {
 	doneCh chan struct{}
 	wg     sync.WaitGroup
 
+	// readers counts read loops, the only senders on reqCh.
+	// registerConn adds to it under connMu, so once Close has set
+	// closing no loop can start, and when the count reaches zero
+	// Close can close reqCh.
+	readers sync.WaitGroup
+
 	closeOnce sync.Once
 	closeErr  error
 
@@ -160,10 +166,25 @@ type Server struct {
 	instr *ServerInstruments
 }
 
+// incoming is one request on its way to the batcher: the decoded
+// header fields the batcher needs, by value, plus the session that
+// owes the device its reply. The payload is never read, so it stays
+// behind in the connection's reused read buffer. The fields are
+// ordered, and the model narrowed to a byte (the decoder has checked
+// it is valid), so an incoming is 32 bytes.
 type incoming struct {
-	req   *netproto.Request
-	reply func(*netproto.Response)
+	frameID uint64
+	traceID uint64
+	ss      *session
+	stream  uint32
+	model   uint8
 }
+
+// reqChCap sizes the batcher's input channel: 512 incomings are 16 KB,
+// the buffer NewServer has always allocated. The batcher drains the
+// channel between batches, so read loops block on it only while the
+// batcher waits on a session whose reply queue is full.
+const reqChCap = 512
 
 // NewServer binds the listener (so the port is known immediately) and
 // starts the accept and batcher loops.
@@ -201,7 +222,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		listener: ln,
-		reqCh:    make(chan incoming, 1024),
+		reqCh:    make(chan incoming, reqChCap),
 		doneCh:   make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 		instr:    instr,
@@ -279,6 +300,8 @@ func (s *Server) Close() error {
 			conn.Close()
 		}
 		s.connMu.Unlock()
+		s.readers.Wait()
+		close(s.reqCh)
 		s.wg.Wait()
 	})
 	return s.closeErr
@@ -303,6 +326,7 @@ func (s *Server) registerConn(conn net.Conn) (ok, shed bool) {
 		return false, true
 	}
 	s.conns[conn] = struct{}{}
+	s.readers.Add(1)
 	return true, false
 }
 
@@ -360,9 +384,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.wg.Add(1)
 	go ss.writeLoop() // closes conn when the session is fully drained
 
+	rd := netproto.NewReader(conn)
+	var req netproto.Request
 	for {
-		req, err := netproto.ReadRequest(conn)
-		if err != nil {
+		if err := rd.ReadRequest(&req); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("realnet: read error from %v: %v", conn.RemoteAddr(), err)
 			}
@@ -370,19 +395,18 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		s.stats.submitted.Add(1)
 		s.instr.Submitted.Inc()
-		s.pending.Add(1)
 		ss.track()
 		select {
-		case s.reqCh <- incoming{req: req, reply: ss.reply}:
+		case s.reqCh <- incoming{stream: req.Stream, frameID: req.FrameID, traceID: req.TraceID, model: uint8(req.Model), ss: ss}:
 		case <-s.doneCh:
-			ss.inflight.Done()
-			s.pending.Add(-1)
+			ss.untrack()
 			s.stats.dropped.Add(1)
 			s.instr.Dropped.Inc()
 			goto drain
 		}
 	}
 drain:
+	s.readers.Done()
 	timeout := s.cfg.DrainTimeout
 	if s.cfg.DropOnDisconnect {
 		timeout = 0
@@ -400,22 +424,33 @@ func (s *Server) batchLoop() {
 	queues := make(map[models.Model][]incoming)
 	order := models.All()
 	rrNext := 0
-	busy := false
-	execDone := make(chan []incoming, 1)
+
+	// running is the executing batch (nil while the GPU is idle) and
+	// exec the timer that ends it; the timer lives in this loop's
+	// select, so a batch costs no goroutine. spare is the last
+	// executed batch's backing array, kept for the next queue that
+	// starts empty, so steady-state queues do not reallocate.
+	var running, spare []incoming
+	exec := time.NewTimer(time.Hour)
+	exec.Stop()
+
+	refuse := func(inc incoming) {
+		inc.ss.reply(netproto.Response{FrameID: inc.frameID, Rejected: true, TraceID: inc.traceID})
+	}
 
 	// Per-tenant rejection accounting. Only this goroutine rejects, so
 	// the map needs no lock; the exported counter is the CounterVec.
 	rejByTenant := make(map[uint32]uint64)
 	rejectOverflow := func(inc incoming) {
 		s.stats.rejected.Add(1)
-		tenant := inc.req.Stream
+		tenant := inc.stream
 		s.instr.Rejected.WithUint(uint64(tenant)).Inc()
 		rejByTenant[tenant]++
 		if n := s.cfg.RejectLogEvery; n > 0 && (rejByTenant[tenant]-1)%uint64(n) == 0 {
 			s.logf("realnet: tenant %d: rejected frame %d (%d shed so far, logging every %d)",
-				tenant, inc.req.FrameID, rejByTenant[tenant], n)
+				tenant, inc.frameID, rejByTenant[tenant], n)
 		}
-		inc.reply(&netproto.Response{FrameID: inc.req.FrameID, Rejected: true, TraceID: inc.req.TraceID})
+		refuse(inc)
 	}
 
 	startBatch := func() {
@@ -431,7 +466,6 @@ func (s *Server) batchLoop() {
 			}
 		}
 		if !found {
-			busy = false
 			return
 		}
 		q := queues[m]
@@ -440,7 +474,7 @@ func (s *Server) batchLoop() {
 		if take > s.cfg.MaxBatch {
 			take = s.cfg.MaxBatch
 		}
-		batch := q[:take]
+		running = q[:take]
 		for _, inc := range q[take:] {
 			rejectOverflow(inc)
 		}
@@ -448,63 +482,67 @@ func (s *Server) batchLoop() {
 
 		lat := time.Duration(float64(s.cfg.GPU.Curve(m).Latency(take)) * s.cfg.TimeScale * s.Slowdown())
 		lat += time.Duration(s.extraDelay.Load())
-		busy = true
 		s.stats.batches.Add(1)
 		s.instr.Batches.Inc()
-		go func() {
-			// Always deliver the batch to execDone (cut short on
-			// shutdown): it is buffered and at most one batch is in
-			// flight, so the send never blocks, and batchLoop's exit
-			// path can deterministically collect it. Every tracked
-			// request must reach its reply() call or session drains
-			// would deadlock.
-			timer := time.NewTimer(lat)
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-			case <-s.doneCh:
-			}
-			execDone <- batch
-		}()
+		// exec is stopped or fired and drained here, so Reset is safe.
+		exec.Reset(lat)
 	}
 
-	// rejectAll resolves requests that will never execute (shutdown);
-	// reply() accounts them as dropped when nobody can receive them.
-	rejectAll := func(batch []incoming) {
-		for _, inc := range batch {
-			inc.reply(&netproto.Response{FrameID: inc.req.FrameID, Rejected: true, TraceID: inc.req.TraceID})
+	// shutdown refuses every request that will never execute; reply()
+	// accounts them as dropped when nobody can receive them. Every
+	// tracked request must reach its reply() call or session drains
+	// would deadlock. A read loop may still forward a request it
+	// decoded just before Close began, so arrivals are refused too
+	// until Close closes reqCh behind the last read loop.
+	shutdown := func() {
+		exec.Stop()
+		for _, inc := range running {
+			refuse(inc)
+		}
+		for _, q := range queues {
+			for _, inc := range q {
+				refuse(inc)
+			}
+		}
+		for inc := range s.reqCh {
+			refuse(inc)
 		}
 	}
 
 	for {
 		select {
-		case inc := <-s.reqCh:
-			queues[inc.req.Model] = append(queues[inc.req.Model], inc)
-			if !busy {
+		case inc, ok := <-s.reqCh:
+			if !ok { // Close closes reqCh only after doneCh
+				shutdown()
+				return
+			}
+			m := models.Model(inc.model)
+			q := queues[m]
+			if q == nil {
+				q, spare = spare, nil
+			}
+			queues[m] = append(q, inc)
+			if running == nil {
 				startBatch()
 			}
-		case batch := <-execDone:
-			n := uint16(len(batch))
-			for _, inc := range batch {
+		case <-exec.C:
+			n := uint16(len(running))
+			for _, inc := range running {
 				s.stats.completed.Add(1)
 				s.instr.Completed.Inc()
-				s.instr.BatchSize.WithUint(uint64(inc.req.Stream)).Observe(float64(n))
-				inc.reply(&netproto.Response{
-					FrameID:   inc.req.FrameID,
-					Label:     int32(inc.req.FrameID % 1000),
+				s.instr.BatchSize.WithUint(uint64(inc.stream)).Observe(float64(n))
+				inc.ss.reply(netproto.Response{
+					FrameID:   inc.frameID,
+					Label:     int32(inc.frameID % 1000),
 					BatchSize: n,
-					TraceID:   inc.req.TraceID,
+					TraceID:   inc.traceID,
 				})
 			}
-			busy = false
+			clear(running[:cap(running)]) // drop the session references
+			spare, running = running[:0], nil
 			startBatch()
 		case <-s.doneCh:
-			if busy {
-				rejectAll(<-execDone)
-			}
-			for _, q := range queues {
-				rejectAll(q)
-			}
+			shutdown()
 			return
 		}
 	}

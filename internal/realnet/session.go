@@ -19,15 +19,17 @@ import (
 //
 // Lifecycle:
 //
-//  1. readLoop registers each forwarded request with inflight.Add(1);
+//  1. The read loop registers each forwarded request with track();
 //     the batcher eventually calls reply() exactly once per request,
-//     which does inflight.Done().
+//     which untracks it. A request the read loop cannot forward
+//     (server shutdown) is untracked there instead.
 //  2. When the read loop ends (disconnect or server shutdown), drain()
 //     waits up to the drain timeout for inflight to reach zero, then
 //     aborts stragglers (their replies are counted as dropped) and
 //     closes respCh.
-//  3. writeLoop consumes respCh until it is closed, applying a
-//     per-write deadline so one stalled device cannot wedge its writer
+//  3. writeLoop consumes respCh until it is closed, coalescing the
+//     replies already queued into one write. Each write carries a
+//     deadline so one stalled device cannot wedge its writer
 //     goroutine; a write failure aborts the session so pending replies
 //     stop queueing up behind a dead socket.
 //
@@ -39,7 +41,7 @@ type session struct {
 	srv  *Server
 	conn writeDeadlineConn
 
-	respCh chan *netproto.Response
+	respCh chan netproto.Response
 
 	// aborted is closed when replies should be discarded instead of
 	// queued: after a write failure, a drain timeout, or server
@@ -51,6 +53,10 @@ type session struct {
 	// callback has not run yet.
 	inflight sync.WaitGroup
 }
+
+// maxCoalesce caps how many queued replies writeLoop packs into one
+// write.
+const maxCoalesce = 64
 
 // writeDeadlineConn is the slice of net.Conn the writer needs; tests
 // can substitute stalled fakes.
@@ -64,7 +70,7 @@ func newSession(srv *Server, conn writeDeadlineConn) *session {
 	return &session{
 		srv:     srv,
 		conn:    conn,
-		respCh:  make(chan *netproto.Response, 256),
+		respCh:  make(chan netproto.Response, 256),
 		aborted: make(chan struct{}),
 	}
 }
@@ -75,16 +81,26 @@ func (ss *session) abort() {
 	ss.abortOnce.Do(func() { close(ss.aborted) })
 }
 
-// track registers one in-flight request. The batcher must call reply
-// exactly once for it.
-func (ss *session) track() { ss.inflight.Add(1) }
+// track registers one in-flight request with the session and the
+// server's pending count. The batcher must call reply exactly once for
+// it, or the read loop untrack if the request never reached the
+// batcher.
+func (ss *session) track() {
+	ss.srv.pending.Add(1)
+	ss.inflight.Add(1)
+}
+
+// untrack retires one tracked request.
+func (ss *session) untrack() {
+	ss.srv.pending.Add(-1)
+	ss.inflight.Done()
+}
 
 // reply hands one response to the writer, or drops it if the session
 // is dead or the server is shutting down. Safe to call from the
 // batcher at any time relative to the device disconnecting.
-func (ss *session) reply(r *netproto.Response) {
-	defer ss.inflight.Done()
-	defer ss.srv.pending.Add(-1)
+func (ss *session) reply(r netproto.Response) {
+	defer ss.untrack()
 	select {
 	case ss.respCh <- r:
 	case <-ss.aborted:
@@ -97,9 +113,12 @@ func (ss *session) reply(r *netproto.Response) {
 }
 
 // writeLoop serializes responses onto the connection until respCh is
-// closed. Each write carries a deadline so a device that stops reading
-// cannot block this goroutine forever; on any write error the session
-// aborts and remaining responses are discarded.
+// closed. Each reply is appended to one reused buffer together with
+// every reply already queued behind it (up to maxCoalesce), and the
+// lot goes out in a single write. Each write carries a deadline so a
+// device that stops reading cannot block this goroutine forever; on
+// any write error the session aborts, and every reply in the failed
+// write and after it is counted as dropped.
 func (ss *session) writeLoop() {
 	defer ss.srv.wg.Done()
 	defer ss.conn.Close()
@@ -107,24 +126,34 @@ func (ss *session) writeLoop() {
 	failed := false
 	for r := range ss.respCh {
 		if failed {
-			ss.srv.stats.dropped.Add(1)
-			ss.srv.instr.Dropped.Inc()
-			ss.srv.instr.WriteDrops.Inc()
+			ss.writeDrops(1)
 			continue
+		}
+		buf = netproto.AppendResponse(buf[:0], &r)
+		n := 1
+	coalesce:
+		for n < maxCoalesce {
+			select {
+			case next, ok := <-ss.respCh:
+				if !ok {
+					break coalesce
+				}
+				buf = netproto.AppendResponse(buf, &next)
+				n++
+			default:
+				break coalesce
+			}
 		}
 		if wt := ss.srv.cfg.WriteTimeout; wt > 0 {
 			ss.conn.SetWriteDeadline(time.Now().Add(wt))
 		}
-		buf = netproto.AppendResponse(buf[:0], r)
 		if _, err := ss.conn.Write(buf); err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				ss.srv.instr.WriteTimeouts.Inc()
 			}
 			ss.srv.logf("realnet: write failed, aborting session: %v", err)
-			ss.srv.stats.dropped.Add(1)
-			ss.srv.instr.Dropped.Inc()
-			ss.srv.instr.WriteDrops.Inc()
+			ss.writeDrops(n)
 			ss.abort()
 			// The session is dead either way; closing the socket now
 			// unblocks the read loop so the drain can start.
@@ -132,6 +161,14 @@ func (ss *session) writeLoop() {
 			failed = true
 		}
 	}
+}
+
+// writeDrops accounts n replies the writer discarded: they were in a
+// failed write or queued behind one.
+func (ss *session) writeDrops(n int) {
+	ss.srv.stats.dropped.Add(uint64(n))
+	ss.srv.instr.Dropped.Add(uint64(n))
+	ss.srv.instr.WriteDrops.Add(uint64(n))
 }
 
 // drain completes the session after the read loop ends: it waits up to
